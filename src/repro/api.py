@@ -5,8 +5,6 @@ placement, bandwidth monitor, foreground clients, repairer construction,
 fault wiring: a :class:`repro.faults.FaultTimeline` installed on a
 testbed forwards the chunks lost in a mid-run crash to every repairer
 built through :meth:`Testbed.make_repairer`, so recovery "just works".
-The legacy ``repro.experiments.scenario.Scenario`` is a deprecated
-alias of this class.
 
 Two construction styles::
 

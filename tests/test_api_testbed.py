@@ -1,5 +1,5 @@
-"""The repro.api facade: TestbedBuilder normalization, the deprecated
-Scenario shim, asymmetric disk bandwidth, and the stable re-exports."""
+"""The repro.api facade: TestbedBuilder normalization, asymmetric disk
+bandwidth, and the stable re-exports."""
 
 import pytest
 
@@ -8,8 +8,6 @@ from repro.api import Testbed, TestbedBuilder, _normalize_code, _normalize_trace
 from repro.cluster import Cluster, mbs
 from repro.errors import ReproError
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.harness import run_repair_experiment
-from repro.experiments.scenario import Scenario
 from repro.faults import FaultTimeline
 
 
@@ -100,37 +98,6 @@ class TestBuilder:
 
     def test_classmethod_builder(self):
         assert isinstance(Testbed.builder(), TestbedBuilder)
-
-
-class TestScenarioShim:
-    def test_scenario_is_a_deprecated_testbed(self):
-        """The legacy entry point still works — as a Testbed — but warns."""
-        config = ExperimentConfig.scaled(0.05, seed=3)
-        with pytest.warns(DeprecationWarning, match="Testbed"):
-            legacy = Scenario(config)
-        assert isinstance(legacy, Testbed)
-
-    def test_lazy_package_attribute_warns_only_at_construction(self):
-        import repro.experiments
-
-        cls = repro.experiments.Scenario  # import itself must not warn
-        config = ExperimentConfig.scaled(0.05, seed=3)
-        with pytest.warns(DeprecationWarning):
-            cls(config)
-
-    def test_fault_free_run_matches_legacy_scenario(self):
-        """Routing an experiment through the shim must not change the
-        physics: same config, same algorithm, same repair time."""
-        config = ExperimentConfig.scaled(0.05, seed=3)
-        with pytest.warns(DeprecationWarning):
-            shimmed = Scenario(config)
-        legacy = run_repair_experiment(config, "CR", scenario=shimmed)
-        faceted = run_repair_experiment(
-            config, "CR", scenario=Testbed.build(config)
-        )
-        assert faceted.repair_time == pytest.approx(legacy.repair_time)
-        assert faceted.chunks == legacy.chunks
-        assert faceted.repaired_bytes == legacy.repaired_bytes
 
 
 class TestAsymmetricDisk:
